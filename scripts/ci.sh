@@ -21,6 +21,10 @@ python scripts/lint_report.py .repro-lint-report.json
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
+echo "== benchmark's own tests (same-seed counter repeats, answer checks) =="
+# tier-1's testpaths stop at tests/, so the perfbench suite runs here.
+python3 -m pytest perfbench -q
+
 echo "== benchmark smoke (micro substrate) =="
 REPRO_BENCH_SCALE=0.1 python -m pytest benchmarks/test_micro_substrate.py \
     -q --benchmark-warmup=off --benchmark-min-rounds=1 \

@@ -10,18 +10,22 @@ scheme differences:
   records (linked schemes only);
 * ``bisect_start`` — pager-accounted binary search by start label, the
   fallback access path when pointers are absent (element scheme) or not
-  materialized (LE_p).
+  materialized (LE_p);
+* ``fetch_regions`` — the entries inside a set of regions as element
+  records, plus the child pointers a further extension step follows.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Mapping, Sequence
 
-from repro.algorithms.base import Counters, CountingCursor
+from repro.algorithms.base import Counters, CountingCursor, element_of
 from repro.errors import EvaluationError
 from repro.storage.element import ElementView
 from repro.storage.linked import LinkedElementView
 from repro.storage.lists import StoredList
+from repro.storage.records import ElementEntry
 from repro.tpq.pattern import Pattern
 
 
@@ -128,53 +132,103 @@ class TagSource:
                 hi = mid
         return lo
 
-    def collect_from(self, index: int, bound: int, counters: Counters) -> list:
-        """Entries from ``index`` onward while ``start < bound``.
+    def collect_from(self, index: int, bound: int, counters: Counters) -> int:
+        """Scan forward from ``index`` while ``start < bound``; return the
+        index of the first entry not collected.
 
-        The shared forward-scan kernel of ``range_entries`` and ViewJoin's
-        flush-time region fetch: every probed entry (including the one that
-        breaks the scan) costs one accounted page access and one
-        comparison; every collected entry counts as scanned.  Record
-        objects are built only for collected entries on the columnar path.
+        The accounting kernel of :meth:`fetch_regions` (packed columns
+        only): the scan is charged as if it probed entry by entry — every
+        probed entry, including the one that ends the scan, costs one
+        page access and one comparison, and every collected entry counts
+        as scanned — but the stop is found by bisecting the start column
+        and the page accesses are accounted one per-page run at a time.
         """
         stored = self.stored
         total = len(stored)
-        result: list = []
+        stop = bisect_left(stored.columns.starts, bound, index, total)
+        probed = stop - index + (stop < total)
+        counters.comparisons += probed
+        counters.elements_scanned += stop - index
+        stored.touch_range(index, index + probed)
+        return stop
+
+    def fetch_regions(
+        self,
+        parents: Sequence,
+        pointers: Sequence[int] | None,
+        counters: Counters,
+        slots: Sequence[int] = (),
+    ) -> tuple[list[ElementEntry], list[list[int]]]:
+        """All entries inside the outermost of the ``parents`` regions.
+
+        Each region is located through the parent's child pointer into
+        this list (``pointers``, aligned with ``parents``; a null pointer
+        means no entry lies inside) or, when ``pointers`` is None, by
+        :meth:`bisect_start`, then scanned forward to the region's end.
+        Regions nested in an earlier one are skipped: their entries were
+        already collected.
+
+        Returns the entries as element records, with one column per
+        pointer slot in ``slots`` holding each entry's child pointer.
+        With packed columns the scans are accounted by
+        :meth:`collect_from` and both come straight from the columns;
+        without them every probe decodes through the pool.
+        """
+        stored = self.stored
         columns = stored.columns
-        if columns is not None:
-            starts = columns.starts
-            touch_index = stored.touch_index
-            entry_at = columns.entry
+        total = len(stored)
+        spans: list[tuple[int, int]] = []
+        records: list = []
+        last_end = -1
+        for position, parent in enumerate(parents):
+            if parent.start < last_end:
+                continue
+            last_end = parent.end
+            if pointers is None:
+                index = self.bisect_start(parent.start, counters)
+            else:
+                index = pointers[position]
+                if index < 0:
+                    continue
+                counters.pointer_jumps += 1
+            if columns is not None:
+                spans.append(
+                    (index, self.collect_from(index, parent.end, counters))
+                )
+                continue
             while index < total:
-                touch_index(index)
+                entry = stored.read(index)
                 counters.comparisons += 1
-                if starts[index] >= bound:
+                if entry.start >= parent.end:
                     break
-                # Records are built only for *collected* entries — the
-                # probe/compare above ran on raw column ints.
-                result.append(entry_at(index))  # repro-lint: disable=RL101 (emission only)
+                records.append(entry)
                 counters.elements_scanned += 1
                 index += 1
-            return result
-        while index < total:
-            # Reference fallback when packed columns are absent.
-            entry = stored.read(index)  # repro-lint: disable=RL101 (reference path)
-            counters.comparisons += 1
-            if entry.start >= bound:
-                break
-            result.append(entry)
-            counters.elements_scanned += 1
-            index += 1
-        return result
+        if columns is None:
+            return [element_of(entry) for entry in records], [
+                [entry.children[slot] for entry in records]
+                for slot in slots
+            ]
+        indexes = [i for lo, hi in spans for i in range(lo, hi)]
+        entries = list(map(
+            ElementEntry,
+            map(columns.starts.__getitem__, indexes),
+            map(columns.ends.__getitem__, indexes),
+            map(columns.levels.__getitem__, indexes),
+        ))
+        return entries, [
+            list(map(columns.children[slot].__getitem__, indexes))
+            for slot in slots
+        ]
 
     def range_entries(
         self, start: int, end: int, counters: Counters
-    ) -> list:
+    ) -> list[ElementEntry]:
         """All entries with start label inside the open interval
         ``(start, end)``, via binary search + forward scan."""
-        return self.collect_from(
-            self.bisect_start(start, counters), end, counters
-        )
+        return self.fetch_regions(
+            [ElementEntry(start, end, 0)], None, counters
+        )[0]
 
 
 def build_sources(

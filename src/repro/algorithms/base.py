@@ -170,7 +170,7 @@ class CountingCursor:
 
     __slots__ = (
         "cursor", "counters", "position", "start", "end",
-        "_columns", "_starts", "_ends", "_length", "_touch", "_touch_run",
+        "_columns", "_starts", "_ends", "_length", "_touch", "_touch_range",
         "_decoder_id", "_page_ids", "_breaks", "_page", "_page_hi",
     )
 
@@ -194,7 +194,7 @@ class CountingCursor:
         self._starts = columns.starts
         self._ends = columns.ends
         self._touch = stored.pager.pool.touch
-        self._touch_run = stored.pager.pool.touch_run
+        self._touch_range = stored.touch_range
         self._decoder_id = stored._decoder_id
         page_ids, breaks = stored.page_map()
         self._page_ids = page_ids
@@ -299,7 +299,8 @@ class CountingCursor:
         landing position is found by bisection over the packed ``starts``
         column and the page reads are accounted in per-page runs via
         :meth:`~repro.storage.pager.BufferPool.touch_run` — O(log n +
-        pages crossed) instead of O(entries skipped) Python-level work.
+        pages crossed) instead of O(entries skipped) Python-level work
+        (``touch_range`` on the underlying list).
         """
         columns = self._columns
         if columns is None:
@@ -320,19 +321,9 @@ class CountingCursor:
         self.counters.comparisons += steps
         self.counters.elements_scanned += steps
         last = target if target < length else length - 1
+        self._touch_range(position + 1, last + 1)
         breaks = self._breaks
-        page_ids = self._page_ids
-        touch_run = self._touch_run
-        decoder_id = self._decoder_id
-        lo = position + 1
-        page = bisect_right(breaks, lo, 0, len(page_ids)) - 1
-        while lo <= last:
-            hi = breaks[page + 1]
-            upper = hi - 1 if hi - 1 < last else last
-            touch_run(page_ids[page], decoder_id, upper - lo + 1)
-            lo = hi
-            if lo <= last:
-                page += 1
+        page = bisect_right(breaks, last, 0, len(self._page_ids)) - 1
         self._page = page
         self._page_hi = breaks[page + 1]
         self.position = target

@@ -26,12 +26,12 @@ import time
 from bisect import bisect_left
 from typing import Callable, Mapping, Sequence
 
-from repro.algorithms.base import Counters, Match, element_of
+from repro.algorithms.base import Counters, Match
 from repro.errors import EvaluationError
 from repro.storage.lists import StoredList
 from repro.storage.pager import Pager
 from repro.storage.records import ElementEntry, element_codec
-from repro.tpq.enumeration import iter_matches
+from repro.tpq.enumeration import count_matches, iter_matches
 from repro.tpq.pattern import Pattern
 
 
@@ -259,49 +259,46 @@ class DagBuffer:
 
     def flush(
         self,
-        extend: Callable[[Mapping[str, Sequence[ElementEntry]]],
+        extend: Callable[[Mapping[str, list]],
                          Mapping[str, Sequence[ElementEntry]]] | None = None,
     ) -> None:
         """Close the current partition: extend, enumerate, reset.
 
         Args:
             extend: callback receiving the buffered per-tag candidate lists
-                and returning the complete lists for *all* query tags (it
-                fetches the tags outside Q' via view pointers).  When None
-                the buffered lists must already cover every query tag.
+                and returning element-record lists for the query tags the
+                buffer does not cover (it fetches the tags outside Q' via
+                view pointers).  When None the buffered lists must already
+                cover every query tag.
         """
         if self.partition_root is None:
             self._reset()
             return
         begin = time.perf_counter()
         self.counters.flushes += 1
-        if extend is not None:
-            candidates: Mapping[str, Sequence[ElementEntry]] = extend(
-                self._lists
-            )
-        else:
-            candidates = {
-                tag: self._lists.get(tag, []) for tag in self.query.tags()
-            }
-        # Project linked records down to bare element labels once per
-        # candidate, so emitted match tuples need no per-component
-        # conversion (matches repeat each candidate many times over).
-        # Dict iteration order here is admission order (insertion-ordered
-        # dict), and the `found.sort()` below canonicalizes emission
-        # order anyway — RL103-safe without an explicit sort.
-        candidates = {
-            tag: [element_of(entry) for entry in entries]
-            for tag, entries in candidates.items()
+        # Buffered linked records are projected to bare element labels
+        # once per candidate, so match tuples need no per-component
+        # conversion; the extension step already returns element records
+        # built straight from the packed columns.
+        candidates: dict[str, Sequence[ElementEntry]] = {
+            tag: _elements(self._lists.get(tag, ()))
+            for tag in self.query.tags()
         }
+        if extend is not None:
+            candidates.update(extend(self._lists))
         if self.spill_pager is not None:
             candidates = self._spill_and_reload(candidates)
-        found = list(iter_matches(self.query, candidates))
-        # ElementEntry components compare start-first and starts are
-        # document-unique, so the plain sort realizes enumerate_matches'
-        # tuple-of-starts order without building a key per match.
-        found.sort()
-        self.match_count += len(found)
-        self.counters.matches += len(found)
+        if self.sink is None and not self.emit_matches:
+            # Count-only: nothing would keep the tuples.
+            found: list[Match] = []
+            count = count_matches(self.query, candidates)
+        else:
+            # Every list is in document order, so the enumeration comes
+            # out in tuple-of-starts order, the order consumers expect.
+            found = list(iter_matches(self.query, candidates))
+            count = len(found)
+        self.match_count += count
+        self.counters.matches += count
         if self.sink is not None:
             self.sink(found)
         elif self.emit_matches:
@@ -332,7 +329,14 @@ class DagBuffer:
                 self.spill_pager, element_codec(), name=f"spill:{tag}",
                 columnar=False,  # written once, scanned once: no reuse
             )
-            stored.extend(entries)  # already projected to ElementEntry
+            stored.extend(entries)  # element records (see flush)
             stored.finalize()
             reloaded[tag] = list(stored.scan())
         return reloaded
+
+
+def _elements(entries: Sequence) -> Sequence[ElementEntry]:
+    """``entries`` as element records (lists are one record kind)."""
+    if not entries or isinstance(entries[0], ElementEntry):
+        return entries
+    return [entry.element for entry in entries]

@@ -11,9 +11,9 @@ position is a handful of integers:
 * the open DAG partition — its root's end label and the per-tag buffered
   candidate lists;
 * the sorted matches a flush produced beyond the quantum's output page
-  (``pending`` — the odometer enumerator's emitted-count equivalent:
-  enumeration itself is atomic per partition because matches are sorted
-  before emission, so pagination happens on the sorted output);
+  (``pending``: enumeration is atomic per partition — a flush emits its
+  matches as one sorted list — so pagination happens on the sorted
+  output);
 * the cumulative work counters, emitted-match total and peak-buffer
   high-water marks.
 

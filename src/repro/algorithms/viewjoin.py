@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import time
 from operator import itemgetter
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.algorithms.access import TagSource
 from repro.algorithms.base import (
@@ -155,6 +155,7 @@ class _ViewJoinRun:
         # (parent_tag, child_tag) -> child-pointer slot usable for skip
         # jumps, or None; resolved once instead of per refresh.
         self._skip_slots: dict[tuple[str, str], int | None] = {}
+        self._extension = self._plan_extension()
         # Preemption state (repro.algorithms.preempt).  Plain runs keep
         # budget=None and never touch the suspension checks' slow side.
         self.budget = budget
@@ -571,64 +572,65 @@ class _ViewJoinRun:
 
     # -- flush extension (Algorithm 1 line 10) ----------------------------------------------
 
+    def _plan_extension(self) -> list[tuple[str, str, int | None, tuple]]:
+        """The per-partition fetch steps for the query tags outside Q'.
+
+        One ``(tag, view-parent tag, pointer slot, child slots)`` step per
+        such tag, parents before children.  ``pointer slot`` is the
+        parent's materialized ad child pointer to ``tag`` (None: binary
+        search instead); ``child slots`` are the pointer slots of
+        ``tag``'s own records that later steps follow.
+        """
+        retained = set(self.seg.retained)
+        steps: list[tuple[str, str, int | None]] = []
+        wanted: dict[str, list[int]] = {}
+        for view in self.seg.views:
+            for qnode in view.nodes:
+                if qnode.tag in retained:
+                    continue
+                assert qnode.parent is not None, "view roots are always in Q'"
+                parent_tag = qnode.parent.tag
+                parent_source = self.sources[parent_tag]
+                slot = (
+                    parent_source.child_slot(qnode.tag)
+                    if qnode.axis is Axis.DESCENDANT
+                    and parent_source.has_pointers
+                    else None
+                )
+                steps.append((qnode.tag, parent_tag, slot))
+                if slot is not None and parent_tag not in retained:
+                    wanted.setdefault(parent_tag, []).append(slot)
+        return [
+            (tag, parent_tag, slot, tuple(wanted.get(tag, ())))
+            for tag, parent_tag, slot in steps
+        ]
+
     def _extend(self, buffered: Mapping[str, list]) -> dict[str, list]:
-        """Complete the candidate lists with the query tags outside Q'.
+        """Fetch the candidate lists of the query tags outside Q'.
 
         Tags outside Q' were never scanned; their entries are fetched per
         partition from the regions of their view-parent candidates — via
         materialized child pointers under LE/LE_p, or pager-accounted
         binary search under the element scheme (Section III-B advantage 3).
+        A buffered parent's pointers come from its record; a fetched
+        parent's from the pointer columns read along with it.
         """
-        # `buffered` is insertion-ordered by admission (DagBuffer fills it
-        # in document order per tag), and DagBuffer.flush sorts matches
-        # before emission — iteration order here cannot leak into output.
-        candidates: dict[str, list] = {
-            tag: list(entries) for tag, entries in buffered.items()
-        }
-        for tag in self.seg.retained:
-            candidates.setdefault(tag, [])
-        for view in self.seg.views:
-            for qnode in view.nodes:
-                tag = qnode.tag
-                if tag in candidates:
-                    continue
-                assert qnode.parent is not None, "view roots are always in Q'"
-                parents = candidates[qnode.parent.tag]
-                candidates[tag] = self._fetch_in_regions(
-                    tag, parents, use_pointer=(qnode.axis is Axis.DESCENDANT),
-                    parent_tag=qnode.parent.tag,
+        fetched: dict[str, list] = {}
+        links: dict[tuple[str, int], Sequence[int]] = {}
+        for tag, parent_tag, slot, child_slots in self._extension:
+            parents = fetched.get(parent_tag)
+            if parents is None:
+                parents = buffered.get(parent_tag, ())
+                pointers = (
+                    None if slot is None
+                    else [parent.children[slot] for parent in parents]
                 )
-        return candidates
-
-    def _fetch_in_regions(
-        self,
-        tag: str,
-        parents: list,
-        use_pointer: bool,
-        parent_tag: str,
-    ) -> list:
-        """All ``tag`` entries inside the outermost parent regions."""
-        source = self.sources[tag]
-        parent_source = self.sources[parent_tag]
-        slot = (
-            parent_source.child_slot(tag)
-            if use_pointer and parent_source.has_pointers
-            else None
-        )
-        result: list = []
-        last_end = -1
-        for parent in parents:
-            if parent.start < last_end:
-                continue  # nested inside the previous region: already fetched
-            last_end = parent.end
-            if slot is not None and parent.children[slot] >= 0:
-                index = parent.children[slot]
-                self.counters.pointer_jumps += 1
-            elif slot is not None:
-                continue  # null child pointer: no partner in this region
             else:
-                index = source.bisect_start(parent.start, self.counters)
-            result.extend(
-                source.collect_from(index, parent.end, self.counters)
+                pointers = None if slot is None else links[parent_tag, slot]
+            entries, columns = self.sources[tag].fetch_regions(
+                parents, pointers, self.counters, child_slots
             )
-        return result
+            fetched[tag] = entries
+            for child_slot, column in zip(child_slots, columns):
+                links[tag, child_slot] = column
+        return fetched

@@ -29,6 +29,29 @@ from repro.storage.pager import Pager
 _DECODER_IDS = iter(range(1, 1 << 30))
 
 
+def _touch_range(stored, lo: int, hi: int) -> None:
+    """Account columnar accesses of entries ``lo .. hi - 1``, in order.
+
+    Exactly equivalent to ``stored.touch_index(i)`` for every ``i`` in
+    the range: the entries on each page form one run, accounted with a
+    single :meth:`~repro.storage.pager.BufferPool.touch_run`.  Shared by
+    :class:`StoredList` and :class:`SlottedList` as ``touch_range``.
+    """
+    if lo >= hi:
+        return
+    page_ids, breaks = stored.page_map()
+    touch_run = stored.pager.pool.touch_run
+    decoder_id = stored._decoder_id
+    page = bisect_right(breaks, lo, 0, len(page_ids)) - 1
+    while lo < hi:
+        end = breaks[page + 1]
+        if end > hi:
+            end = hi
+        touch_run(page_ids[page], decoder_id, end - lo)
+        lo = end
+        page += 1
+
+
 def columnar_enabled() -> bool:  # repro-lint: disable=RL202 (process-stable config gate; fast/slow paths pinned byte-identical by the differential suites)
     """Global knob for the columnar fast path.
 
@@ -256,6 +279,8 @@ class StoredList:
         self.pager.pool.touch(
             self._page_ids[index // self.records_per_page], self._decoder_id
         )
+
+    touch_range = _touch_range
 
     def _decode_page(self, raw: bytes, count: int | None = None) -> Sequence:
         if count is None:
@@ -519,6 +544,8 @@ class SlottedList:
     def touch_index(self, index: int) -> None:
         """Account a columnar access of entry ``index`` (no decode)."""
         self.pager.pool.touch(self._locate(index)[2], self._decoder_id)
+
+    touch_range = _touch_range
 
     def _decode_page(self, raw: bytes) -> Sequence:
         (count,) = struct.unpack_from("<H", raw, 0)

@@ -10,6 +10,7 @@ tag; :class:`Pattern` enforces this and offers tag-keyed lookups throughout.
 from __future__ import annotations
 
 import enum
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from repro.errors import PatternError
@@ -115,6 +116,20 @@ class Pattern:
     def tags(self) -> list[str]:
         """Element types in preorder."""
         return [node.tag for node in self._nodes]
+
+    @cached_property
+    def branch_slots(self) -> tuple[tuple[tuple[int, bool, bool], ...], ...]:
+        """The tree in preorder-slot form: per slot, one
+        ``(child slot, pc edge, leaf child)`` triple per child in
+        definition order.  Computed once — patterns are immutable."""
+        slot_of = {node.tag: k for k, node in enumerate(self._nodes)}
+        return tuple(
+            tuple(
+                (slot_of[child.tag], child.axis.is_pc, child.is_leaf)
+                for child in node.children
+            )
+            for node in self._nodes
+        )
 
     def tag_set(self) -> set[str]:
         return set(self._by_tag)

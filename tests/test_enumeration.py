@@ -92,3 +92,106 @@ def test_iter_matches_order_free(small_doc):
     assert sorted(
         tuple(n.start for n in m) for m in iter_matches(q, candidates)
     ) == [tuple(n.start for n in m) for m in enumerate_matches(q, candidates)]
+
+
+# -- differential properties against the naive oracle ---------------------
+
+TAGS = ("a", "b", "c", "d", "e")
+
+
+@st.composite
+def random_patterns(draw):
+    """A pattern over distinct tags with random shape and mixed axes."""
+    from repro.tpq.pattern import Axis, Pattern, PatternNode
+
+    size = draw(st.sampled_from([1, 2, 3, 4, 4, 5, 5, 5]))
+    tags = draw(st.permutations(TAGS))[:size]
+    nodes = [PatternNode(tags[0])]
+    for i in range(1, size):
+        parent = nodes[draw(st.integers(0, i - 1))]
+        axis = draw(st.sampled_from([Axis.CHILD, Axis.DESCENDANT]))
+        nodes.append(parent.add_child(PatternNode(tags[i], axis)))
+    return Pattern(nodes[0])
+
+
+@st.composite
+def candidate_lists(draw, doc, pattern):
+    """Per-tag candidate lists in document order: the full tag list (a
+    superset of the solutions), the exact solution nodes, a random
+    subset, or nothing."""
+    solutions = solution_nodes(doc, pattern)
+    lists = {}
+    for tag in pattern.tags():
+        full = list(doc.tag_list(tag))
+        kind = draw(st.sampled_from(
+            ["full", "full", "solutions", "subset", "subset", "empty"]
+        ))
+        if kind == "full":
+            lists[tag] = full
+        elif kind == "solutions":
+            lists[tag] = list(solutions[tag])
+        elif kind == "subset":
+            keep = draw(st.lists(st.booleans(), min_size=len(full),
+                                 max_size=len(full)))
+            lists[tag] = [node for node, kept in zip(full, keep) if kept]
+        else:
+            lists[tag] = []
+    return lists
+
+
+def _keys(matches):
+    return [tuple(node.start for node in match) for match in matches]
+
+
+@settings(deadline=None, max_examples=200)
+@given(seed=st.integers(0, 10_000), data=st.data())
+def test_iter_matches_equals_naive_on_any_candidates(seed, data):
+    """Matches are exactly the oracle's embeddings whose every component
+    is a candidate, in lexicographic start order — on recursive trees
+    (nested parent regions take the memo path), mixed pc/ad edges,
+    empty lists, single-node patterns and superset candidate lists."""
+    doc = random_trees.generate(
+        size=150, tags=TAGS, max_depth=10, max_fanout=4, seed=seed
+    )
+    pattern = data.draw(random_patterns())
+    lists = data.draw(candidate_lists(doc, pattern))
+    allowed = {tag: {node.start for node in nodes}
+               for tag, nodes in lists.items()}
+    tags = pattern.tags()
+    truth = [
+        match for match in find_embeddings(doc, pattern)
+        if all(node.start in allowed[tag] for tag, node in zip(tags, match))
+    ]
+    keys = _keys(iter_matches(pattern, lists))
+    assert keys == _keys(truth)
+    assert keys == sorted(keys)
+    assert count_matches(pattern, lists) == len(keys)
+    assert _keys(enumerate_matches(pattern, lists)) == keys
+
+
+def test_single_node_pattern(small_doc):
+    q = parse_pattern("//a")
+    nodes = list(small_doc.tag_list("a"))
+    assert list(iter_matches(q, {"a": nodes})) == [(n,) for n in nodes]
+    assert count_matches(q, {"a": nodes}) == len(nodes)
+
+
+def test_nested_parents_share_memoized_subtrees():
+    """Nested ``a`` regions reach the same ``b`` subtree from several
+    bindings (the memo path): every pairing is emitted once, in order."""
+    from repro.xmltree.document import DocumentBuilder
+
+    builder = DocumentBuilder("nested")
+    with builder.element("a"):          # a1
+        with builder.element("b"):      # b1
+            builder.leaf("c")
+        with builder.element("a"):      # a2
+            with builder.element("b"):  # b2
+                builder.leaf("c")
+                builder.leaf("c")
+    doc = builder.build()
+    q = parse_pattern("//a//b//c")
+    candidates = {tag: list(doc.tag_list(tag)) for tag in q.tags()}
+    truth = find_embeddings(doc, q)
+    assert len(truth) == 5
+    assert _keys(iter_matches(q, candidates)) == _keys(truth)
